@@ -7,6 +7,11 @@
 //! makes the hub ship either the covering delta chain or a full snapshot —
 //! a killed-and-relaunched replica converges to byte-identical state from
 //! whatever it last persisted.
+//!
+//! Updates that arrive faster than the replica can swap them in are applied
+//! as a run ([`ReplicaState::apply_run`]): the held bytes are parsed once,
+//! each delta is spliced into the parsed snapshot using the CRCs it already
+//! carries, and the result is serialized and journaled once at the end.
 
 use crate::frame::{Frame, FRAME_DELTA, FRAME_FULL};
 use hta_snapshot::{DeltaError, Snapshot, SnapshotBuilder, SnapshotDelta, SnapshotError};
@@ -54,6 +59,26 @@ impl Follower {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
+    /// Whether the next frame has begun to arrive — bytes are buffered or
+    /// readable on the socket — so [`Self::next_update`] will not sit idle.
+    /// Never blocks. An error means the socket could not be probed or put
+    /// back into blocking mode; drop the connection.
+    pub fn update_ready(&mut self) -> io::Result<bool> {
+        if !self.reader.buffer().is_empty() {
+            return Ok(true);
+        }
+        let stream = self.reader.get_ref();
+        stream.set_nonblocking(true)?;
+        let mut probe = [0u8; 1];
+        let peeked = stream.peek(&mut probe);
+        stream.set_nonblocking(false)?;
+        match peeked {
+            Ok(n) => Ok(n > 0),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Block for the next update. `UnexpectedEof` means the primary went
     /// away; `WouldBlock`/`TimedOut` mean the read timeout elapsed with the
     /// stream idle (no update published) — both are normal lifecycle, not
@@ -78,6 +103,25 @@ impl Follower {
                 _ => continue,
             }
         }
+    }
+}
+
+/// What one [`ReplicaState::apply_run`] accepted, and why it stopped early
+/// if it did.
+#[derive(Debug, Default)]
+pub struct RunReport {
+    /// Deltas accepted.
+    pub deltas: usize,
+    /// Full snapshots accepted.
+    pub fulls: usize,
+    /// The refusal that ended the run; every update before it was kept.
+    pub refused: Option<DeltaError>,
+}
+
+impl RunReport {
+    /// Updates accepted.
+    pub fn accepted(&self) -> usize {
+        self.deltas + self.fulls
     }
 }
 
@@ -126,27 +170,77 @@ impl ReplicaState {
     /// in-memory view); a [`DeltaError::BaseMismatch`] or epoch gap means
     /// the caller must re-handshake from its current epoch.
     pub fn apply(&mut self, update: Update) -> Result<bool, DeltaError> {
-        match update {
-            Update::Full { epoch, bytes } => {
+        match self.apply_run([update]).refused {
+            Some(e) => Err(e),
+            None => Ok(true),
+        }
+    }
+
+    /// Apply updates in order until one is refused (an epoch gap, a base
+    /// mismatch, an invalid full snapshot). Every accepted update is kept:
+    /// the held bytes are parsed at most once, deltas are spliced into the
+    /// parsed snapshot without re-hashing unchanged sections, and the
+    /// result is serialized and journaled once, after the last accepted
+    /// update. On a refusal the caller re-handshakes from [`Self::epoch`].
+    pub fn apply_run(&mut self, updates: impl IntoIterator<Item = Update>) -> RunReport {
+        let mut report = RunReport::default();
+        let mut epoch = self.epoch;
+        // The working state: parsed, plus its bytes when they arrived whole
+        // (a full snapshot needs no re-serialization).
+        let mut work: Option<(Snapshot, Option<Vec<u8>>)> = None;
+        for update in updates {
+            let step = match update {
                 // Validate before adopting: a replica never holds bytes it
                 // could not re-serve.
-                Snapshot::from_bytes(&bytes)?;
-                self.epoch = epoch;
-                self.bytes = bytes;
-            }
-            Update::Delta(delta) => {
-                if delta.base_epoch != self.epoch {
-                    return Err(DeltaError::Snapshot(SnapshotError::Corrupt(format!(
-                        "delta base epoch {} does not match held epoch {}",
-                        delta.base_epoch, self.epoch
-                    ))));
+                Update::Full { epoch: e, bytes } => Snapshot::from_bytes(&bytes)
+                    .map_err(DeltaError::from)
+                    .map(|snap| (e, snap, Some(bytes))),
+                Update::Delta(delta) if delta.base_epoch != epoch => {
+                    Err(DeltaError::Snapshot(SnapshotError::Corrupt(format!(
+                        "delta base epoch {} does not match held epoch {epoch}",
+                        delta.base_epoch
+                    ))))
                 }
-                self.bytes = delta.apply(&self.bytes)?;
-                self.epoch = delta.new_epoch;
+                Update::Delta(delta) => {
+                    let base = match work.take() {
+                        Some((snap, _)) => snap,
+                        None => match Snapshot::from_bytes(&self.bytes) {
+                            Ok(snap) => snap,
+                            Err(e) => {
+                                report.refused = Some(e.into());
+                                break;
+                            }
+                        },
+                    };
+                    let target = delta.apply_to(&base);
+                    // On a refusal the parsed base is still the state.
+                    work = Some((base, None));
+                    target.map(|snap| (delta.new_epoch, snap, None))
+                }
+            };
+            match step {
+                Ok((e, snap, bytes)) => {
+                    if bytes.is_some() {
+                        report.fulls += 1;
+                    } else {
+                        report.deltas += 1;
+                    }
+                    epoch = e;
+                    work = Some((snap, bytes));
+                }
+                Err(e) => {
+                    report.refused = Some(e);
+                    break;
+                }
             }
         }
-        self.persist();
-        Ok(true)
+        if report.accepted() > 0 {
+            let (snap, bytes) = work.expect("an accepted update leaves a working state");
+            self.bytes = bytes.unwrap_or_else(|| snap.to_bytes());
+            self.epoch = epoch;
+            self.persist();
+        }
+        report
     }
 
     fn persist(&self) {
@@ -236,6 +330,58 @@ mod tests {
             .unwrap();
         assert!(state.apply(Update::Delta(delta)).is_err());
         assert_eq!(state.epoch, 3, "state unchanged after the refusal");
+    }
+
+    #[test]
+    fn a_run_applies_once_and_keeps_the_prefix_before_a_refusal() {
+        let mut state = ReplicaState::empty();
+        state
+            .apply(Update::Full {
+                epoch: 1,
+                bytes: snap(1),
+            })
+            .unwrap();
+        let chain: Vec<Update> = (1..6u8)
+            .map(|v| {
+                let d = SnapshotDelta::compute(&snap(v), &snap(v + 1), v as u64, v as u64 + 1);
+                Update::Delta(d.unwrap())
+            })
+            .collect();
+        let report = state.apply_run(chain);
+        assert_eq!((report.deltas, report.fulls), (5, 0));
+        assert!(report.refused.is_none());
+        assert_eq!((state.epoch, &state.bytes), (6, &snap(6)));
+
+        // A run whose third update has the wrong base keeps the first two.
+        let good = |v: u8| {
+            let d = SnapshotDelta::compute(&snap(v), &snap(v + 1), v as u64, v as u64 + 1);
+            Update::Delta(d.unwrap())
+        };
+        let other = |b: u8| {
+            SnapshotBuilder::new("t")
+                .section("a", vec![99; 8])
+                .section("b", vec![b])
+                .to_bytes()
+        };
+        let wrong_base = SnapshotDelta::compute(&other(1), &other(2), 8, 9).unwrap();
+        let report = state.apply_run([good(6), good(7), Update::Delta(wrong_base), good(8)]);
+        assert_eq!(report.accepted(), 2);
+        assert!(matches!(
+            report.refused,
+            Some(DeltaError::BaseMismatch { .. })
+        ));
+        assert_eq!((state.epoch, &state.bytes), (8, &snap(8)));
+
+        // A trailing full snapshot is adopted as shipped.
+        let report = state.apply_run([
+            good(8),
+            Update::Full {
+                epoch: 20,
+                bytes: snap(20),
+            },
+        ]);
+        assert_eq!((report.deltas, report.fulls), (1, 1));
+        assert_eq!((state.epoch, &state.bytes), (20, &snap(20)));
     }
 
     #[test]

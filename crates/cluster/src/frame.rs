@@ -18,7 +18,7 @@
 //! integrity story (snapshot and delta payloads are *also* CRC'd
 //! containers, so state bytes end up double-covered on the wire).
 
-use hta_snapshot::crc32;
+use hta_snapshot::crc32::{crc32, Crc32};
 use std::io::{self, Read, Write};
 
 /// Magic prefix of every frame.
@@ -27,6 +27,11 @@ pub const FRAME_MAGIC: [u8; 4] = *b"HTAC";
 /// Refuse frames larger than this (a corrupt length would otherwise ask us
 /// to allocate absurd buffers).
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
+
+/// The payload buffer grows by at most this much ahead of the bytes that
+/// have actually arrived, so a length field that lies costs no more memory
+/// than the stream really delivers.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// A replica's first message after `last_epoch`: the epoch it already
 /// holds, `0` for "nothing" (forces a full snapshot).
@@ -69,7 +74,9 @@ impl Frame {
 
     /// Read one frame off a stream. Blocks until complete. A closed
     /// connection before the first byte yields `UnexpectedEof`; corrupt
-    /// magic, length, or CRC yield `InvalidData`.
+    /// magic, length, or CRC yield `InvalidData`. The payload is read in
+    /// bounded chunks and hashed as it arrives: memory follows the bytes
+    /// received, not the length the header claims.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut head = [0u8; 9];
         r.read_exact(&mut head)?;
@@ -87,14 +94,18 @@ impl Frame {
                 format!("frame payload length {len} exceeds the cap"),
             ));
         }
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload)?;
+        let mut crc = Crc32::new();
+        crc.update(&head[4..]);
+        let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+        while payload.len() < len {
+            let start = payload.len();
+            payload.resize(start + (len - start).min(READ_CHUNK), 0);
+            r.read_exact(&mut payload[start..])?;
+            crc.update(&payload[start..]);
+        }
         let mut crc_bytes = [0u8; 4];
         r.read_exact(&mut crc_bytes)?;
-        let mut covered = Vec::with_capacity(5 + len);
-        covered.extend_from_slice(&head[4..]);
-        covered.extend_from_slice(&payload);
-        if crc32(&covered) != u32::from_le_bytes(crc_bytes) {
+        if crc.finish() != u32::from_le_bytes(crc_bytes) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "frame checksum mismatch",
@@ -203,6 +214,57 @@ mod tests {
             }
         }
         assert_eq!(copy, wire);
+    }
+
+    #[test]
+    fn truncated_frames_are_errors() {
+        let wire = Frame::full(5, &[7; 300]).to_bytes();
+        for cut in 0..wire.len() {
+            assert!(
+                Frame::read_from(&mut &wire[..cut]).is_err(),
+                "prefix of length {cut} parsed"
+            );
+        }
+    }
+
+    #[test]
+    fn inflated_length_followed_by_eof_is_an_error() {
+        // A header claiming 1 GiB, then a few bytes and EOF: the reader
+        // fails after the bytes that exist, without a 1 GiB buffer.
+        let mut wire = Frame::delta(vec![1; 32]).to_bytes();
+        wire[5..9].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        let err = Frame::read_from(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A length one past the truth eats the CRC and then runs dry.
+        let mut wire = Frame::delta(vec![1; 32]).to_bytes();
+        wire[5..9].copy_from_slice(&33u32.to_le_bytes());
+        assert!(Frame::read_from(&mut &wire[..]).is_err());
+    }
+
+    #[test]
+    fn spliced_frames_are_rejected() {
+        // The head of one frame glued to the payload and CRC of another of
+        // the same length: the CRC covers the type and length, so it fails.
+        let a = Frame::delta(vec![1, 2, 3, 4]).to_bytes();
+        let b = Frame::full(9, &[]).to_bytes();
+        let spliced: Vec<u8> = a[..9].iter().chain(&b[9..]).copied().collect();
+        assert!(Frame::read_from(&mut &spliced[..]).is_err());
+        // Two frames' halves joined mid-payload.
+        let c = Frame::delta(vec![5; 64]).to_bytes();
+        let d = Frame::delta(vec![6; 64]).to_bytes();
+        let spliced: Vec<u8> = c[..40].iter().chain(&d[40..]).copied().collect();
+        assert!(Frame::read_from(&mut &spliced[..]).is_err());
+    }
+
+    #[test]
+    fn large_payloads_stream_through_chunks() {
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 17).map(|i| (i * 31) as u8).collect();
+        let wire = Frame::delta(payload.clone()).to_bytes();
+        let back = Frame::read_from(&mut &wire[..]).unwrap();
+        assert_eq!(back.payload, payload);
+        let mut flipped = wire.clone();
+        flipped[9 + 2 * READ_CHUNK + 5] ^= 0x10;
+        assert!(Frame::read_from(&mut &flipped[..]).is_err());
     }
 
     #[test]

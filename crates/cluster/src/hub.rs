@@ -18,13 +18,19 @@
 //! that re-reads the hub state after every send, so a peer that missed
 //! three epochs while writing simply gets the three retained deltas (or a
 //! full) on its next pass.
+//!
+//! The hub keeps its head parsed as well as serialized, so a publish diffs
+//! against CRCs it already holds: [`ReplicationHub::publish`] verifies the
+//! new bytes once, and [`ReplicationHub::publish_snapshot`], for callers
+//! that assemble the snapshot from sealed sections, hashes nothing but the
+//! container header.
 
 use crate::frame::Frame;
-use hta_snapshot::SnapshotDelta;
+use hta_snapshot::{Snapshot, SnapshotDelta};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
@@ -38,6 +44,10 @@ struct HubInner {
     epoch: u64,
     /// Last published snapshot bytes (authoritative serialized state).
     bytes: Arc<Vec<u8>>,
+    /// `bytes` parsed, with its verified section CRCs; `None` before the
+    /// first publish or when the published bytes were not a valid
+    /// container (the next publish then drops the delta chain).
+    head: Option<Snapshot>,
     /// Retained deltas: element `i` carries `base_epoch` → `base_epoch+1`,
     /// bases strictly consecutive, back base == `epoch - 1`.
     deltas: VecDeque<(u64, Arc<Vec<u8>>)>,
@@ -52,6 +62,8 @@ pub struct ReplicationHub {
     bump: Condvar,
     retain: usize,
     peers: AtomicUsize,
+    publishes: AtomicU64,
+    dedup_hits: AtomicU64,
 }
 
 impl ReplicationHub {
@@ -61,12 +73,15 @@ impl ReplicationHub {
             inner: Mutex::new(HubInner {
                 epoch: 0,
                 bytes: Arc::new(Vec::new()),
+                head: None,
                 deltas: VecDeque::new(),
                 closed: false,
             }),
             bump: Condvar::new(),
             retain: retain.max(1),
             peers: AtomicUsize::new(0),
+            publishes: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
         }
     }
 
@@ -75,26 +90,64 @@ impl ReplicationHub {
     /// does not advance), so callers can publish after *every* mutating
     /// operation without chattering no-op deltas at the replicas.
     pub fn publish(&self, bytes: Vec<u8>) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.epoch > 0 && *inner.bytes == bytes {
+        let inner = self.inner.lock().unwrap();
+        if self.dedup(&inner, &bytes) {
             return inner.epoch;
         }
+        let head = Snapshot::from_bytes(&bytes).ok();
+        self.advance(inner, bytes, head)
+    }
+
+    /// [`Self::publish`] for a snapshot that is already assembled (from
+    /// sealed sections, so its CRCs are known): serializes it once and
+    /// diffs it against the head without hashing any payload.
+    pub fn publish_snapshot(&self, snapshot: Snapshot) -> u64 {
+        let bytes = snapshot.to_bytes();
+        let inner = self.inner.lock().unwrap();
+        if self.dedup(&inner, &bytes) {
+            return inner.epoch;
+        }
+        self.advance(inner, bytes, Some(snapshot))
+    }
+
+    /// Count a publish; `true` when `bytes` equal the head (no new epoch).
+    fn dedup(&self, inner: &HubInner, bytes: &[u8]) -> bool {
+        self.publishes.fetch_add(1, Ordering::Relaxed);
+        let same = inner.epoch > 0 && **inner.bytes == *bytes;
+        if same {
+            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        same
+    }
+
+    /// Make `bytes` (parsed as `head`, when valid) the next epoch and
+    /// retain the delta from the previous one.
+    fn advance(
+        &self,
+        mut inner: std::sync::MutexGuard<'_, HubInner>,
+        bytes: Vec<u8>,
+        head: Option<Snapshot>,
+    ) -> u64 {
         if inner.epoch > 0 {
-            match SnapshotDelta::compute(&inner.bytes, &bytes, inner.epoch, inner.epoch + 1) {
-                Ok(delta) => {
-                    let base = inner.epoch;
-                    inner.deltas.push_back((base, Arc::new(delta.to_bytes())));
+            match (&inner.head, &head) {
+                (Some(base), Some(target)) => {
+                    let base_epoch = inner.epoch;
+                    let delta = SnapshotDelta::diff(base, target, base_epoch, base_epoch + 1);
+                    inner
+                        .deltas
+                        .push_back((base_epoch, Arc::new(delta.to_bytes())));
                     while inner.deltas.len() > self.retain {
                         inner.deltas.pop_front();
                     }
                 }
                 // Un-diffable bytes (shouldn't happen with container-valid
                 // input): drop the chain; peers fall back to fulls.
-                Err(_) => inner.deltas.clear(),
+                _ => inner.deltas.clear(),
             }
         }
         inner.epoch += 1;
         inner.bytes = Arc::new(bytes);
+        inner.head = head;
         let epoch = inner.epoch;
         drop(inner);
         self.bump.notify_all();
@@ -115,6 +168,16 @@ impl ReplicationHub {
     /// Number of peer connections currently attached.
     pub fn peer_count(&self) -> usize {
         self.peers.load(Ordering::Relaxed)
+    }
+
+    /// Publish calls so far, deduplicated ones included.
+    pub fn publishes(&self) -> u64 {
+        self.publishes.load(Ordering::Relaxed)
+    }
+
+    /// Publish calls whose bytes equalled the head, so no epoch advanced.
+    pub fn dedup_hits(&self) -> u64 {
+        self.dedup_hits.load(Ordering::Relaxed)
     }
 
     /// Wake every peer thread and make them exit after their current send.
@@ -249,6 +312,40 @@ mod tests {
         // Epoch 0 (nothing held) and unknown epochs get a full.
         assert!(matches!(ReplicationHub::plan(&inner, 0), Plan::Full(5, _)));
         assert!(matches!(ReplicationHub::plan(&inner, 99), Plan::Full(5, _)));
+    }
+
+    #[test]
+    fn publish_snapshot_matches_publish() {
+        let (by_bytes, by_snapshot) = (ReplicationHub::new(8), ReplicationHub::new(8));
+        for v in [1, 2, 2, 3] {
+            let a = by_bytes.publish(snap(v));
+            let b = by_snapshot.publish_snapshot(Snapshot::from_bytes(&snap(v)).unwrap());
+            assert_eq!(a, b);
+        }
+        assert_eq!((by_bytes.publishes(), by_bytes.dedup_hits()), (4, 1));
+        assert_eq!((by_snapshot.publishes(), by_snapshot.dedup_hits()), (4, 1));
+        let (a, b) = (
+            by_bytes.inner.lock().unwrap(),
+            by_snapshot.inner.lock().unwrap(),
+        );
+        assert_eq!(a.bytes, b.bytes);
+        assert_eq!(a.deltas, b.deltas, "identical delta frames");
+    }
+
+    #[test]
+    fn invalid_bytes_drop_the_chain() {
+        let hub = ReplicationHub::new(8);
+        hub.publish(snap(1));
+        hub.publish(snap(2));
+        assert_eq!(hub.publish(b"not a snapshot".to_vec()), 3);
+        assert!(hub.inner.lock().unwrap().deltas.is_empty());
+        hub.publish(snap(3));
+        assert!(
+            hub.inner.lock().unwrap().deltas.is_empty(),
+            "no base to diff"
+        );
+        hub.publish(snap(4));
+        assert_eq!(hub.inner.lock().unwrap().deltas.len(), 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod follower;
 pub mod frame;
 pub mod hub;
 
-pub use follower::{Follower, ReplicaState, Update, JOURNAL_KIND};
+pub use follower::{Follower, ReplicaState, RunReport, Update, JOURNAL_KIND};
 pub use frame::{Frame, FRAME_DELTA, FRAME_FULL, FRAME_HELLO, MAX_FRAME_PAYLOAD};
 pub use hub::{ReplicationHub, DEFAULT_RETAIN};
 

@@ -7,8 +7,9 @@
 //!   After every successful mutating operation it publishes its serialized
 //!   state to a [`ReplicationHub`], which diffs consecutive snapshots into
 //!   epoch-tagged deltas and streams them to attached peers.
-//! * **replica** — follows the primary's replication stream, swaps each
-//!   update into its local `PlatformState`
+//! * **replica** — follows the primary's replication stream, applies every
+//!   update that has already arrived to its held bytes, swaps the result
+//!   into its local `PlatformState` once per such drain
 //!   ([`PlatformState::replace_from_snapshot_bytes`]), and answers read
 //!   traffic (`/stats`, `/topk`, `/candidates`) locally — byte-identically
 //!   to the primary at the same epoch, because both hold the same bytes.
@@ -28,14 +29,15 @@
 
 use std::io;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hta_cluster::{http_get, Follower, ReplicaState, ReplicationHub, ShardSpec};
+use hta_cluster::{http_get, Follower, ReplicaState, ReplicationHub, RunReport, ShardSpec};
 use hta_index::merge_topk;
 
-use crate::snapshot::bytes_from_inner;
+use crate::snapshot::snapshot_from_inner;
 use crate::state::{Inner, PlatformState, ShardTopk};
 
 /// Which cluster role this process plays.
@@ -77,10 +79,26 @@ impl std::fmt::Display for Role {
 /// The epoch a replica has fully applied to its serving state, with a
 /// waitable bump — `GET /shard_topk?epoch=E` blocks (bounded) until the
 /// node has caught up to `E` so it answers against exactly the state the
-/// primary pinned.
+/// primary pinned. Also counts what the follower applied, for
+/// `GET /cluster`.
 pub struct AppliedEpoch {
     epoch: Mutex<u64>,
     bump: Condvar,
+    deltas: AtomicU64,
+    fulls: AtomicU64,
+    swaps: AtomicU64,
+}
+
+/// A follower's replication counters, as `GET /cluster` reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FollowerCounts {
+    /// Snapshot deltas applied to the held bytes.
+    pub deltas_applied: u64,
+    /// Full snapshots applied to the held bytes.
+    pub fulls_applied: u64,
+    /// Times the serving state was rebuilt from the held bytes; one per
+    /// drain, however many updates the drain applied.
+    pub state_swaps: u64,
 }
 
 impl Default for AppliedEpoch {
@@ -95,7 +113,25 @@ impl AppliedEpoch {
         Self {
             epoch: Mutex::new(0),
             bump: Condvar::new(),
+            deltas: AtomicU64::new(0),
+            fulls: AtomicU64::new(0),
+            swaps: AtomicU64::new(0),
         }
+    }
+
+    /// The follower's counters so far.
+    pub fn counts(&self) -> FollowerCounts {
+        FollowerCounts {
+            deltas_applied: self.deltas.load(Ordering::Relaxed),
+            fulls_applied: self.fulls.load(Ordering::Relaxed),
+            state_swaps: self.swaps.load(Ordering::Relaxed),
+        }
+    }
+
+    fn record_run(&self, report: &RunReport) {
+        self.deltas
+            .fetch_add(report.deltas as u64, Ordering::Relaxed);
+        self.fulls.fetch_add(report.fulls as u64, Ordering::Relaxed);
     }
 
     /// Record that `epoch` is now fully applied (monotone; stale sets are
@@ -192,6 +228,16 @@ impl ClusterCtx {
     }
 }
 
+impl PlatformState {
+    /// Publish the current state to `hub` while holding the state lock.
+    /// Publishes from concurrent requests are thereby serialized in
+    /// mutation order: a slower request can never publish an older
+    /// encoding over a newer one. Returns the hub's epoch after it.
+    pub fn publish_to(&self, hub: &ReplicationHub) -> u64 {
+        self.with_inner(|inner| hub.publish_snapshot(snapshot_from_inner(inner)))
+    }
+}
+
 /// How long the coordinator waits on each shard before falling back to
 /// local retrieval. Also the bound a shard worker waits for a pinned epoch.
 pub const SHARD_TIMEOUT: Duration = Duration::from_secs(2);
@@ -218,7 +264,7 @@ impl ShardTopk for ShardCoordinator {
         // advance the epoch, so repeated assigns between mutations pin the
         // same epoch; and no newer epoch can appear while we hold the lock,
         // so the shards' answers are against exactly this state.
-        let epoch = self.hub.publish(bytes_from_inner(inner));
+        let epoch = self.hub.publish_snapshot(snapshot_from_inner(inner));
         let workers: Vec<String> = cohort.iter().map(usize::to_string).collect();
         let target = format!(
             "/shard_topk?epoch={epoch}&workers={}&k={k}",
@@ -395,8 +441,14 @@ pub fn acquire_initial_state(
     }
 }
 
-/// Keep a follower converged forever: apply every update off the wire,
-/// swap it into `state`, bump `applied`. Reconnects with backoff on any
+/// Most updates one drain applies before swapping them in, so a primary
+/// that publishes without pause cannot hold the serving state back.
+const MAX_DRAIN: usize = 64;
+
+/// Keep a follower converged forever: wait for an update, apply it and
+/// every further update that has already arrived to the held bytes, swap
+/// the result into `state` once, bump `applied`. The applied epoch only
+/// rises and never passes the hub's head. Reconnects with backoff on any
 /// connection or apply error, re-handshaking from the epoch it holds —
 /// the hub ships the covering delta chain or one full snapshot, so a
 /// restarted or lagging follower always converges to byte-identical state.
@@ -416,17 +468,8 @@ pub fn spawn_follower(
             .set_read_timeout(Some(Duration::from_millis(500)))
             .ok();
         loop {
-            match follower.next_update() {
-                Ok(update) => {
-                    // Any refusal (epoch gap, bad delta) or swap failure
-                    // breaks to a re-handshake from the held epoch.
-                    if rstate.apply(update).is_err()
-                        || state.replace_from_snapshot_bytes(&rstate.bytes).is_err()
-                    {
-                        break;
-                    }
-                    applied.set(rstate.epoch);
-                }
+            let first = match follower.next_update() {
+                Ok(update) => update,
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -436,6 +479,34 @@ pub fn spawn_follower(
                     continue;
                 }
                 Err(_) => break,
+            };
+            let mut read_failed = false;
+            let arrived = std::iter::from_fn(|| {
+                if read_failed {
+                    return None;
+                }
+                let next = match follower.update_ready() {
+                    Ok(true) => follower.next_update(),
+                    Ok(false) => return None,
+                    Err(e) => Err(e),
+                };
+                read_failed = next.is_err();
+                next.ok()
+            });
+            let report = rstate.apply_run(std::iter::once(first).chain(arrived).take(MAX_DRAIN));
+            applied.record_run(&report);
+            if report.accepted() > 0 {
+                if state.replace_from_snapshot_bytes(&rstate.bytes).is_err() {
+                    break;
+                }
+                applied.swaps.fetch_add(1, Ordering::Relaxed);
+                applied.set(rstate.epoch);
+            }
+            // A refusal (epoch gap, bad delta) or a broken frame
+            // re-handshakes from the held epoch; what the drain applied
+            // before it is already served.
+            if report.refused.is_some() || read_failed {
+                break;
             }
         }
         thread::sleep(Duration::from_millis(100));

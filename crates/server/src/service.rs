@@ -98,9 +98,11 @@ pub fn handle_cluster(
             )
         {
             if let Some(hub) = &ctx.hub {
-                // Identical bytes are deduplicated inside the hub, so a
-                // mutation that ends up a no-op does not burn an epoch.
-                hub.publish(state.snapshot_bytes());
+                // Published under the state lock, so concurrent mutations
+                // reach the hub in the order they were made and its head
+                // never regresses. Identical bytes are deduplicated inside
+                // the hub, so a no-op mutation does not burn an epoch.
+                state.publish_to(hub);
             }
         }
     }
@@ -143,7 +145,20 @@ fn redirect_url(primary: &str, req: &Request) -> String {
 fn cluster_info(ctx: &ClusterCtx) -> Response {
     let mut body = format!("{{\"role\":\"{}\",\"epoch\":{}", ctx.role, ctx.epoch());
     if let Some(hub) = &ctx.hub {
-        let _ = write!(body, ",\"peers\":{}", hub.peer_count());
+        let _ = write!(
+            body,
+            ",\"peers\":{},\"publishes\":{},\"dedup_hits\":{}",
+            hub.peer_count(),
+            hub.publishes(),
+            hub.dedup_hits()
+        );
+    } else {
+        let c = ctx.applied.counts();
+        let _ = write!(
+            body,
+            ",\"deltas_applied\":{},\"fulls_applied\":{},\"state_swaps\":{}",
+            c.deltas_applied, c.fulls_applied, c.state_swaps
+        );
     }
     if let Some(primary) = &ctx.primary_http {
         let _ = write!(body, ",\"primary\":{}", json_string(primary));

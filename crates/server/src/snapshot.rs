@@ -18,10 +18,11 @@
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use hta_core::state::{decode, encode, StateDecodeError, StateReader, StateSerialize};
 use hta_index::CandidateMode;
-use hta_snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
+use hta_snapshot::{SealedSection, Snapshot, SnapshotBuilder, SnapshotError};
 
 use crate::state::{Inner, PlatformState, WorkerState};
 
@@ -151,9 +152,11 @@ impl StateSerialize for PlatformSection {
 }
 
 /// Build the snapshot container for already-locked inner state. Split out
-/// of [`PlatformState::snapshot_bytes`] so the cluster coordinator can
-/// serialize the state it is *currently holding the lock on* (to publish a
-/// replication epoch mid-assign) without re-entering the mutex.
+/// of [`PlatformState::snapshot_bytes`] so the cluster layer can serialize
+/// the state it is *currently holding the lock on* (to publish a
+/// replication epoch) without re-entering the mutex. The immutable task
+/// catalog is encoded and hashed once per state; every other section is
+/// encoded and hashed once per call.
 pub(crate) fn builder_from_inner(inner: &Inner) -> SnapshotBuilder {
     let platform = PlatformSection {
         available: inner.available.clone(),
@@ -164,16 +167,23 @@ pub(crate) fn builder_from_inner(inner: &Inner) -> SnapshotBuilder {
     };
     SnapshotBuilder::new(SNAPSHOT_KIND)
         .section(SECTION_SPACE, encode(&inner.space))
-        .section(SECTION_TASKS, encode(&inner.tasks))
+        .sealed_section(
+            SECTION_TASKS,
+            inner
+                .tasks_section
+                .get_or_init(|| SealedSection::new(encode(&inner.tasks)))
+                .clone(),
+        )
         .section(SECTION_WORKERS, encode(&inner.workers))
         .section(SECTION_PLATFORM, encode(&platform))
         .section(SECTION_INDEX, encode(&inner.index))
         .section(SECTION_RNG, encode(&inner.rng))
 }
 
-/// [`builder_from_inner`] straight to bytes.
-pub(crate) fn bytes_from_inner(inner: &Inner) -> Vec<u8> {
-    builder_from_inner(inner).to_bytes()
+/// [`builder_from_inner`] assembled, unserialized — what a replication
+/// hub diffs without hashing the sections again.
+pub(crate) fn snapshot_from_inner(inner: &Inner) -> Snapshot {
+    builder_from_inner(inner).build()
 }
 
 impl PlatformState {
@@ -318,6 +328,9 @@ impl PlatformState {
         Ok(PlatformState::from_inner(Inner {
             space,
             tasks,
+            // The section just decoded, with the CRC it was verified
+            // against: re-encoding the catalog yields these bytes.
+            tasks_section: OnceLock::from(snap.sealed_section(SECTION_TASKS)?.clone()),
             available: platform.available,
             workers,
             rng,
@@ -387,6 +400,23 @@ mod tests {
         let b = r.assign(0).unwrap();
         assert_eq!(a, b, "post-restore assignment diverged");
         assert_eq!(r.stats(), s.stats(), "stats stay in lock-step");
+    }
+
+    #[test]
+    fn catalog_section_is_sealed_once_and_seeded_on_restore() {
+        let s = busy_state();
+        let bytes = s.snapshot_bytes();
+        assert_eq!(s.snapshot_bytes(), bytes, "the cached section re-assembles");
+        let r = PlatformState::from_snapshot_bytes(&bytes).expect("restore");
+        r.with_inner(|inner| {
+            let seeded = inner.tasks_section.get().expect("seeded from the snapshot");
+            assert_eq!(
+                seeded.payload(),
+                encode(&inner.tasks),
+                "decode → encode is the identity"
+            );
+        });
+        assert_eq!(r.snapshot_bytes(), bytes);
     }
 
     #[test]

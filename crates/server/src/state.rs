@@ -2,7 +2,7 @@
 //! their adaptive weight estimators, the sharded keyword index over open
 //! tasks, and the assignment ledger — the data behind the Figure 4 workflow.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hta_core::adaptive::WeightEstimator;
 use hta_core::solver::{
@@ -16,6 +16,7 @@ use hta_index::{
     CandidateMode, CandidatePool, InvertedIndex, PoolMaintainer, PoolParams, ShardedIndex,
 };
 use hta_life::Reputation;
+use hta_snapshot::SealedSection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -142,7 +143,15 @@ pub struct PlatformState {
 
 pub(crate) struct Inner {
     pub(crate) space: KeywordSpace,
+    /// The task catalog. Never mutated after construction (registration
+    /// widens the keyword space, not the stored task vectors), which is
+    /// what lets `tasks_section` be encoded once.
     pub(crate) tasks: TaskPool,
+    /// The catalog's encoded snapshot section with its CRC, built on the
+    /// first snapshot (or taken verified from the snapshot this state was
+    /// restored from) and reused by every snapshot after it. It is 77% of
+    /// a 4,096-task snapshot.
+    pub(crate) tasks_section: OnceLock<SealedSection>,
     pub(crate) available: Vec<bool>,
     pub(crate) workers: Vec<WorkerState>,
     pub(crate) rng: StdRng,
@@ -324,6 +333,7 @@ impl PlatformState {
             inner: Mutex::new(Inner {
                 space,
                 tasks,
+                tasks_section: OnceLock::new(),
                 available,
                 workers: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),

@@ -19,8 +19,15 @@
 //! shipping a full snapshot instead. A base whose sections do not match
 //! the manifest's unchanged entries yields [`DeltaError::BaseMismatch`],
 //! which callers treat the same way.
+//!
+//! Nothing here re-hashes a payload whose CRC is already known: diffing
+//! compares the CRCs each [`Snapshot`] verified on parse, applying checks
+//! the base's verified CRCs against the manifest and the carried payloads'
+//! container CRCs against it, and the rebuilt target is assembled from
+//! those sealed sections. Use [`SnapshotDelta::diff`] and
+//! [`SnapshotDelta::apply_to`] when the snapshots are already parsed.
 
-use crate::{crc32, Snapshot, SnapshotBuilder, SnapshotError};
+use crate::{SealedSection, Snapshot, SnapshotBuilder, SnapshotError, MAX_NAME_LEN, MAX_SECTIONS};
 use std::fmt;
 
 /// Container kind tag used for encoded deltas.
@@ -82,7 +89,7 @@ pub struct SnapshotDelta {
     manifest: Vec<ManifestEntry>,
     /// Payloads for manifest entries with `changed == true`, in manifest
     /// order.
-    changed: Vec<Vec<u8>>,
+    changed: Vec<SealedSection>,
 }
 
 impl SnapshotDelta {
@@ -98,28 +105,34 @@ impl SnapshotDelta {
     ) -> Result<Self, DeltaError> {
         let base = Snapshot::from_bytes(base_bytes)?;
         let target = Snapshot::from_bytes(target_bytes)?;
+        Ok(Self::diff(&base, &target, base_epoch, new_epoch))
+    }
+
+    /// [`Self::compute`] over already-parsed snapshots: compares the CRCs
+    /// they carry, hashes nothing, and shares the carried payloads.
+    pub fn diff(base: &Snapshot, target: &Snapshot, base_epoch: u64, new_epoch: u64) -> Self {
         let mut manifest = Vec::new();
         let mut changed = Vec::new();
-        for name in target.section_names() {
-            let payload = target.section(name)?;
-            let crc = crc32(payload);
-            let same = base.section(name).map(|b| crc32(b) == crc).unwrap_or(false);
+        for (name, section) in &target.sections {
+            let same = base
+                .sealed_section(name)
+                .is_ok_and(|b| b.crc() == section.crc());
             if !same {
-                changed.push(payload.to_vec());
+                changed.push(section.clone());
             }
             manifest.push(ManifestEntry {
-                name: name.to_owned(),
-                crc,
+                name: name.clone(),
+                crc: section.crc(),
                 changed: !same,
             });
         }
-        Ok(Self {
+        Self {
             base_epoch,
             new_epoch,
             target_kind: target.kind().to_owned(),
             manifest,
             changed,
-        })
+        }
     }
 
     /// The kind tag of the target snapshot this delta rebuilds.
@@ -138,7 +151,7 @@ impl SnapshotDelta {
     /// Total payload bytes carried (the part that scales with the diff, as
     /// opposed to the manifest, which scales with the section count).
     pub fn carried_bytes(&self) -> usize {
-        self.changed.iter().map(Vec::len).sum()
+        self.changed.iter().map(|s| s.payload().len()).sum()
     }
 
     /// Rebuild the target snapshot's exact bytes from the base snapshot's
@@ -147,14 +160,23 @@ impl SnapshotDelta {
     /// snapshot this delta was computed against.
     pub fn apply(&self, base_bytes: &[u8]) -> Result<Vec<u8>, DeltaError> {
         let base = Snapshot::from_bytes(base_bytes)?;
+        Ok(self.apply_to(&base)?.to_bytes())
+    }
+
+    /// [`Self::apply`] over an already-parsed base, returning the target
+    /// unserialized. The checks are the same: every unchanged section's
+    /// verified CRC must equal the manifest's, and so must every carried
+    /// payload's container CRC.
+    pub fn apply_to(&self, base: &Snapshot) -> Result<Snapshot, DeltaError> {
+        check_manifest(&self.manifest, self.changed.len())?;
         let mut builder = SnapshotBuilder::new(&self.target_kind);
         let mut carried = self.changed.iter();
         for entry in &self.manifest {
-            let payload: Vec<u8> = if entry.changed {
+            let section = if entry.changed {
                 let p = carried
                     .next()
                     .ok_or_else(|| DeltaError::Malformed("missing carried payload".into()))?;
-                if crc32(p) != entry.crc {
+                if p.crc() != entry.crc {
                     return Err(DeltaError::Malformed(format!(
                         "carried payload for {:?} does not match its manifest CRC",
                         entry.name
@@ -163,20 +185,20 @@ impl SnapshotDelta {
                 p.clone()
             } else {
                 let p = base
-                    .section(&entry.name)
+                    .sealed_section(&entry.name)
                     .map_err(|_| DeltaError::BaseMismatch {
                         section: entry.name.clone(),
                     })?;
-                if crc32(p) != entry.crc {
+                if p.crc() != entry.crc {
                     return Err(DeltaError::BaseMismatch {
                         section: entry.name.clone(),
                     });
                 }
-                p.to_vec()
+                p.clone()
             };
-            builder = builder.section(&entry.name, payload);
+            builder = builder.sealed_section(&entry.name, section);
         }
-        Ok(builder.to_bytes())
+        Ok(builder.build())
     }
 
     /// Serialize to a self-verifying wire frame (a snapshot container of
@@ -196,7 +218,7 @@ impl SnapshotDelta {
         }
         let mut builder = SnapshotBuilder::new(DELTA_KIND).section("meta", meta);
         for (i, payload) in self.changed.iter().enumerate() {
-            builder = builder.section(&format!("d{i}"), payload.clone());
+            builder = builder.sealed_section(&format!("d{i}"), payload.clone());
         }
         builder.to_bytes()
     }
@@ -244,9 +266,10 @@ impl SnapshotDelta {
         if pos != meta.len() {
             return Err(DeltaError::Malformed("trailing meta bytes".into()));
         }
+        check_manifest(&manifest, n_changed)?;
         let mut changed = Vec::with_capacity(n_changed);
         for i in 0..n_changed {
-            changed.push(snap.section(&format!("d{i}"))?.to_vec());
+            changed.push(snap.sealed_section(&format!("d{i}"))?.clone());
         }
         Ok(Self {
             base_epoch,
@@ -256,6 +279,36 @@ impl SnapshotDelta {
             changed,
         })
     }
+}
+
+/// Refuse a manifest the container could not hold — too many sections,
+/// an over-long or repeated name, a carried-payload count that disagrees
+/// with its flags — so a hostile delta is an error, never a panic in the
+/// builder.
+fn check_manifest(manifest: &[ManifestEntry], n_carried: usize) -> Result<(), DeltaError> {
+    if manifest.len() > MAX_SECTIONS {
+        return Err(DeltaError::Malformed(format!(
+            "{} manifest entries exceed the section limit",
+            manifest.len()
+        )));
+    }
+    if manifest.iter().filter(|e| e.changed).count() != n_carried {
+        return Err(DeltaError::Malformed(
+            "carried payload count does not match the manifest".into(),
+        ));
+    }
+    for (i, entry) in manifest.iter().enumerate() {
+        if entry.name.len() > MAX_NAME_LEN {
+            return Err(DeltaError::Malformed("over-long section name".into()));
+        }
+        if manifest[..i].iter().any(|e| e.name == entry.name) {
+            return Err(DeltaError::Malformed(format!(
+                "section {:?} appears twice in the manifest",
+                entry.name
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -356,6 +409,99 @@ mod tests {
             }
         }
         assert_eq!(copy, wire);
+    }
+
+    #[test]
+    fn reused_crcs_keep_every_apply_check() {
+        let base = snap("k", &[("x", vec![1, 2]), ("y", vec![3]), ("z", vec![4; 9])]);
+        let target = snap(
+            "k",
+            &[("x", vec![1, 2]), ("y", vec![8, 8]), ("z", vec![4; 9])],
+        );
+        let d = SnapshotDelta::compute(&base, &target, 0, 1).unwrap();
+        assert_eq!(d.apply(&base).unwrap(), target);
+
+        // An "unchanged" section whose bytes differ in the base.
+        let drifted = snap("k", &[("x", vec![1, 2]), ("y", vec![3]), ("z", vec![4; 8])]);
+        assert_eq!(
+            d.apply(&drifted).unwrap_err(),
+            DeltaError::BaseMismatch {
+                section: "z".into()
+            }
+        );
+
+        // A base with a different section set.
+        let other_set = snap("k", &[("x", vec![1, 2]), ("w", vec![4; 9])]);
+        assert_eq!(
+            d.apply(&other_set).unwrap_err(),
+            DeltaError::BaseMismatch {
+                section: "z".into()
+            }
+        );
+
+        // A carried payload flipped after the diff: its container CRC no
+        // longer matches the manifest.
+        let mut flipped = d.clone();
+        let mut bytes = flipped.changed[0].payload().to_vec();
+        bytes[0] ^= 0x01;
+        flipped.changed[0] = SealedSection::new(bytes);
+        assert!(matches!(
+            flipped.apply(&base).unwrap_err(),
+            DeltaError::Malformed(_)
+        ));
+        // The same flip survives the wire (the frame re-seals it) and is
+        // still caught on apply.
+        let wire = SnapshotDelta::from_bytes(&flipped.to_bytes()).unwrap();
+        assert!(matches!(
+            wire.apply(&base).unwrap_err(),
+            DeltaError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn diff_and_apply_to_match_the_byte_api() {
+        let base = snap("k", &[("x", vec![1, 2]), ("y", vec![3])]);
+        let target = snap("k", &[("x", vec![1, 2]), ("y", vec![4, 5]), ("n", vec![6])]);
+        let (pb, pt) = (
+            Snapshot::from_bytes(&base).unwrap(),
+            Snapshot::from_bytes(&target).unwrap(),
+        );
+        let d = SnapshotDelta::diff(&pb, &pt, 2, 3);
+        assert_eq!(d, SnapshotDelta::compute(&base, &target, 2, 3).unwrap());
+        assert_eq!(d.apply_to(&pb).unwrap().to_bytes(), target);
+    }
+
+    #[test]
+    fn hostile_manifests_are_errors_not_panics() {
+        let base = snap("k", &[("x", vec![1])]);
+        let target = snap("k", &[("x", vec![2])]);
+        let good = SnapshotDelta::compute(&base, &target, 0, 1).unwrap();
+
+        let mut twice = good.clone();
+        twice.manifest.push(twice.manifest[0].clone());
+        twice.changed.push(twice.changed[0].clone());
+        assert!(matches!(
+            twice.apply(&base).unwrap_err(),
+            DeltaError::Malformed(_)
+        ));
+        assert!(matches!(
+            SnapshotDelta::from_bytes(&twice.to_bytes()).unwrap_err(),
+            DeltaError::Malformed(_)
+        ));
+
+        let mut long = good.clone();
+        long.manifest[0].name = "n".repeat(MAX_NAME_LEN + 1);
+        assert!(matches!(
+            SnapshotDelta::from_bytes(&long.to_bytes()).unwrap_err(),
+            DeltaError::Malformed(_)
+        ));
+
+        let mut unflagged = good;
+        unflagged.manifest[0].changed = false;
+        assert!(matches!(
+            unflagged.apply(&base).unwrap_err(),
+            DeltaError::Malformed(_)
+        ));
     }
 
     #[test]

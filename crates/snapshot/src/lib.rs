@@ -28,6 +28,13 @@
 //! verified, and a corrupt, truncated, or version-mismatched file yields a
 //! precise [`SnapshotError`] — never a partially-restored value.
 //!
+//! Each payload is hashed **once**: when it is produced
+//! ([`SealedSection::new`], which [`SnapshotBuilder::section`] calls) or
+//! when it is verified on arrival ([`Snapshot::from_bytes`]). The CRC then
+//! travels with the payload as a [`SealedSection`], so re-assembling a
+//! snapshot from known sections — a delta apply, a publish, a catalog that
+//! never changes — hashes only the new bytes and the header.
+//!
 //! Writing goes through [`SnapshotBuilder::write_atomic`]: the bytes are
 //! written to a hidden temp file in the destination directory, `fsync`ed,
 //! then `rename(2)`d over the target, so a crash mid-write never leaves a
@@ -42,6 +49,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 pub use crc32::crc32;
 pub use delta::{DeltaError, SnapshotDelta, DELTA_KIND};
@@ -127,11 +135,66 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
+/// A section payload together with its CRC-32. The CRC is computed when
+/// the payload is sealed ([`Self::new`]) or verified when a container is
+/// parsed ([`Snapshot::sealed_section`]), never supplied by a caller, so a
+/// sealed section is correct by construction. Cloning shares the bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedSection {
+    payload: Arc<Vec<u8>>,
+    crc: u32,
+}
+
+impl SealedSection {
+    /// Seal `payload`: hash it once.
+    pub fn new(payload: Vec<u8>) -> Self {
+        let crc = crc32(&payload);
+        Self {
+            payload: Arc::new(payload),
+            crc,
+        }
+    }
+
+    /// The payload bytes.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// The payload's CRC-32.
+    pub fn crc(&self) -> u32 {
+        self.crc
+    }
+}
+
+/// Serialize a kind tag and sealed sections to the on-disk byte format.
+/// Only the header is hashed here; payload CRCs come with the sections.
+fn encode_container(kind: &str, sections: &[(String, SealedSection)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(kind.len() as u16).to_le_bytes());
+    out.extend_from_slice(kind.as_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (name, section) in sections {
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&(section.payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&section.crc.to_le_bytes());
+    }
+    let header_crc = crc32(&out);
+    out.extend_from_slice(&header_crc.to_le_bytes());
+    out.reserve_exact(sections.iter().map(|(_, s)| s.payload.len()).sum());
+    for (_, section) in sections {
+        out.extend_from_slice(&section.payload);
+    }
+    out
+}
+
 /// Assembles a snapshot: a kind tag plus named byte sections.
 #[derive(Debug, Clone)]
 pub struct SnapshotBuilder {
     kind: String,
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(String, SealedSection)>,
 }
 
 impl SnapshotBuilder {
@@ -148,42 +211,43 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Append a named section.
+    /// Append a named section, hashing its payload once.
     ///
     /// # Panics
     /// Panics on a duplicate section name or an over-long name — both are
     /// programming errors in the producer.
-    pub fn section(mut self, name: &str, payload: Vec<u8>) -> Self {
+    pub fn section(self, name: &str, payload: Vec<u8>) -> Self {
+        self.sealed_section(name, SealedSection::new(payload))
+    }
+
+    /// Append a named section whose CRC is already known (a payload sealed
+    /// earlier, or taken from a parsed snapshot): nothing is hashed.
+    ///
+    /// # Panics
+    /// As [`Self::section`].
+    pub fn sealed_section(mut self, name: &str, section: SealedSection) -> Self {
         assert!(name.len() <= MAX_NAME_LEN, "section name too long");
         assert!(
             self.sections.iter().all(|(n, _)| n != name),
             "duplicate snapshot section {name:?}"
         );
         assert!(self.sections.len() < MAX_SECTIONS, "too many sections");
-        self.sections.push((name.to_owned(), payload));
+        self.sections.push((name.to_owned(), section));
         self
     }
 
     /// Serialize to the on-disk byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.kind.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.kind.as_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (name, payload) in &self.sections {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
+        encode_container(&self.kind, &self.sections)
+    }
+
+    /// The assembled snapshot, without serializing it: every section is
+    /// sealed, so the result is as consistent as a parsed one.
+    pub fn build(self) -> Snapshot {
+        Snapshot {
+            kind: self.kind,
+            sections: self.sections,
         }
-        let header_crc = crc32(&out);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        out
     }
 
     /// Atomically write the snapshot to `path`: the bytes go to a hidden
@@ -224,11 +288,13 @@ impl SnapshotBuilder {
     }
 }
 
-/// A fully-verified, loaded snapshot.
+/// A fully-verified, loaded snapshot (or one assembled from sealed
+/// sections by [`SnapshotBuilder::build`]). Each section keeps the CRC it
+/// was verified against.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     kind: String,
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(String, SealedSection)>,
 }
 
 /// Bounds-checked little-endian cursor used by the parser.
@@ -340,7 +406,8 @@ impl Snapshot {
             if crc32(payload) != crc {
                 return Err(SnapshotError::ChecksumMismatch { region: name });
             }
-            sections.push((name, payload.to_vec()));
+            let payload = Arc::new(payload.to_vec());
+            sections.push((name, SealedSection { payload, crc }));
         }
         if c.pos != bytes.len() {
             return Err(SnapshotError::Corrupt(format!(
@@ -372,11 +439,23 @@ impl Snapshot {
 
     /// A section's payload, or [`SnapshotError::MissingSection`].
     pub fn section(&self, name: &str) -> Result<&[u8], SnapshotError> {
+        self.sealed_section(name).map(SealedSection::payload)
+    }
+
+    /// A section with its verified CRC, or
+    /// [`SnapshotError::MissingSection`]. Cloning it shares the payload.
+    pub fn sealed_section(&self, name: &str) -> Result<&SealedSection, SnapshotError> {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, s)| s)
             .ok_or_else(|| SnapshotError::MissingSection(name.to_owned()))
+    }
+
+    /// Serialize back to the byte format [`Self::from_bytes`] accepts.
+    /// Byte-equal to the parsed input; only the header is hashed.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        encode_container(&self.kind, &self.sections)
     }
 }
 
@@ -473,6 +552,25 @@ mod tests {
             Snapshot::from_bytes(&trailing).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn sealed_assembly_is_byte_equal_to_computed_assembly() {
+        let bytes = sample().to_bytes();
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(snap.to_bytes(), bytes, "parse → serialize is the identity");
+        // Re-assemble from the parsed (known-CRC) sections, mixing in one
+        // freshly sealed payload: byte-equal to hashing everything anew.
+        let known = SnapshotBuilder::new("hta-test")
+            .sealed_section("alpha", snap.sealed_section("alpha").unwrap().clone())
+            .sealed_section("beta", SealedSection::new((0..=255u8).collect()))
+            .sealed_section("empty", snap.sealed_section("empty").unwrap().clone());
+        assert_eq!(known.to_bytes(), bytes);
+        assert_eq!(known.build().to_bytes(), bytes);
+        for name in ["alpha", "beta", "empty"] {
+            let s = snap.sealed_section(name).unwrap();
+            assert_eq!(s.crc(), crc32(s.payload()), "{name} keeps its verified CRC");
+        }
     }
 
     #[test]
